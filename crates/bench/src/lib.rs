@@ -7,7 +7,7 @@
 //! [`mmvc_core::run::RunReport`]s through the [`report`] layer — run
 //! them as `cargo run --release -p mmvc-bench --bin exp_e1` (etc.), with
 //! `MMVC_JSON_DIR=<dir>` to also capture JSON sidecars. The experiment
-//! index lives in `DESIGN.md` §5.
+//! index lives in `DESIGN.md` §6.
 //!
 //! The [`json`] module is the hand-rolled (no-serde) document model
 //! behind every machine-readable artifact: `BENCH_run.json`, the

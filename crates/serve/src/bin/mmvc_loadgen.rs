@@ -48,7 +48,7 @@
 
 use mmvc_bench::Json;
 use mmvc_core::run::AlgorithmKind;
-use mmvc_serve::{client, metrics, ServeConfig, Server};
+use mmvc_serve::{client, fnv1a, metrics, ServeConfig, Server};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -241,7 +241,7 @@ impl Mix {
     /// Builds the full request schedule for this mix, deterministically
     /// from the seed.
     fn schedule(&self, cfg: &Config, pool: &[String]) -> Vec<Req> {
-        let mut rng = Rng::new(cfg.seed ^ fnv(self.name().as_bytes()));
+        let mut rng = Rng::new(cfg.seed ^ fnv1a(self.name().as_bytes()));
         match self {
             Mix::Uniform | Mix::WarmRestart => (0..cfg.requests)
                 .map(|_| ("/run", pool[(rng.next_u64() as usize) % pool.len()].clone()))
@@ -294,7 +294,7 @@ impl Mix {
 /// `update_frac` fraction of `POST /update` deltas interleaved, all
 /// derived from the seed (only the session id comes from the daemon).
 fn session_schedule(cfg: &Config, id: i64, n: u64) -> Vec<Req> {
-    let mut rng = Rng::new(cfg.seed ^ fnv(Mix::SessionChurn.name().as_bytes()));
+    let mut rng = Rng::new(cfg.seed ^ fnv1a(Mix::SessionChurn.name().as_bytes()));
     let pair = |rng: &mut Rng| {
         let a = rng.next_u64() % n;
         let b = rng.next_u64() % n;
@@ -317,10 +317,6 @@ fn session_schedule(cfg: &Config, id: i64, n: u64) -> Vec<Req> {
             }
         })
         .collect()
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    mmvc_serve::fnv1a(bytes)
 }
 
 /// Post-restart accounting for the `warm-restart` mix: the second-half

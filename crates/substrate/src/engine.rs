@@ -38,93 +38,7 @@
 use crate::error::SubstrateError;
 use crate::telemetry::Telemetry;
 use crate::trace::{ExecutionTrace, RoundSummary};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// One recorded round: which substrate closed it and the exact per-slot
-/// word loads it charged. Captured by a [`ChargeLog`] attached to a
-/// [`RoundLedger`] — the per-slot detail the [`ExecutionTrace`] summary
-/// discards, and precisely what a distributed replay needs to turn each
-/// round's accounting into real per-machine wire traffic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundCharges {
-    /// The substrate that closed the round (`"mpc"`, `"congested-clique"`).
-    pub substrate: &'static str,
-    /// Words charged to each slot (machine/player) in the round.
-    pub loads: Vec<usize>,
-}
-
-impl RoundCharges {
-    /// Synthesizes a per-slot load vector reproducing a summary-only
-    /// round: the result has `max(loads) == max_load_words` and
-    /// `sum(loads) == total_words` whenever the pair was feasible for
-    /// `slots` slots (which it is for every round a ledger recorded).
-    /// Used for block-accounted primitives ([`RoundLedger::record_completed`])
-    /// and absorbed sub-traces, where the true distribution is gone.
-    fn synthesize(substrate: &'static str, slots: usize, s: &RoundSummary) -> Self {
-        let mut loads = vec![0usize; slots.max(1)];
-        let mut rem = s.total_words;
-        if s.max_load_words > 0 {
-            loads[0] = s.max_load_words.min(rem);
-            rem -= loads[0];
-        }
-        for slot in loads.iter_mut().skip(1) {
-            if rem == 0 {
-                break;
-            }
-            let take = rem.min(s.max_load_words);
-            *slot = take;
-            rem -= take;
-        }
-        // Infeasible pairs (total > slots · max) can only come from
-        // hand-built summaries; keep the total exact and let slot 0 carry
-        // the overflow.
-        loads[0] += rem;
-        RoundCharges { substrate, loads }
-    }
-}
-
-/// A shared recorder of per-round per-slot charges — the "machine role
-/// extraction" channel behind distributed replays.
-///
-/// Like [`Telemetry`], a `ChargeLog` is a pure observer riding along
-/// [`crate::ExecutorConfig`]: attaching one never changes a metered
-/// number, it only captures the per-slot load vectors that
-/// [`RoundLedger::end_round`] would otherwise collapse into a
-/// [`RoundSummary`]. Cloning shares the underlying buffer.
-#[derive(Debug, Clone, Default)]
-pub struct ChargeLog {
-    inner: Arc<Mutex<Vec<RoundCharges>>>,
-}
-
-impl ChargeLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of rounds recorded so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("charge log poisoned").len()
-    }
-
-    /// Whether no round has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains the recorded rounds, leaving the log empty.
-    pub fn take(&self) -> Vec<RoundCharges> {
-        std::mem::take(&mut *self.inner.lock().expect("charge log poisoned"))
-    }
-
-    fn push(&self, charges: RoundCharges) {
-        self.inner
-            .lock()
-            .expect("charge log poisoned")
-            .push(charges);
-    }
-}
 
 /// The open-round state machine shared by every metered substrate.
 ///
@@ -149,7 +63,6 @@ pub struct RoundLedger {
     /// Wall-clock stamp of `begin_round`, kept only while the attached
     /// telemetry sink is enabled (out-of-band: never enters the trace).
     open_at: Option<Instant>,
-    recorder: Option<ChargeLog>,
 }
 
 impl RoundLedger {
@@ -163,16 +76,7 @@ impl RoundLedger {
             open: None,
             telemetry: Telemetry::disabled(),
             open_at: None,
-            recorder: None,
         }
-    }
-
-    /// Attaches a [`ChargeLog`]: every completed round (including block
-    /// accounting and absorbed sub-traces) records its per-slot loads.
-    /// Strictly an observer — the [`ExecutionTrace`] is identical with or
-    /// without it.
-    pub fn set_recorder(&mut self, log: &ChargeLog) {
-        self.recorder = Some(log.clone());
     }
 
     /// Attaches a telemetry sink: every completed round emits a span
@@ -319,12 +223,6 @@ impl RoundLedger {
             total_words: loads.iter().sum(),
         };
         self.trace.record(summary);
-        if let Some(log) = &self.recorder {
-            log.push(RoundCharges {
-                substrate: self.substrate,
-                loads,
-            });
-        }
         if let Some(opened) = self.open_at.take() {
             self.telemetry.record_span(
                 "round",
@@ -377,13 +275,6 @@ impl RoundLedger {
                 total_words: total,
             };
             self.trace.record(summary);
-            if let Some(log) = &self.recorder {
-                log.push(RoundCharges::synthesize(
-                    self.substrate,
-                    self.slots,
-                    &summary,
-                ));
-            }
         }
         Ok(())
     }
@@ -392,11 +283,6 @@ impl RoundLedger {
     /// its own simulator handle) into this ledger's trace, renumbering its
     /// rounds.
     pub fn absorb(&mut self, other: &ExecutionTrace) {
-        if let Some(log) = &self.recorder {
-            for s in other.per_round() {
-                log.push(RoundCharges::synthesize(self.substrate, self.slots, s));
-            }
-        }
         self.trace.absorb(other);
     }
 }
@@ -529,67 +415,6 @@ mod tests {
         bare.charge(1, 3).unwrap();
         bare.end_round().unwrap();
         assert_eq!(l.trace().per_round(), bare.trace().per_round());
-    }
-
-    #[test]
-    fn recorder_captures_per_slot_loads() {
-        let log = ChargeLog::new();
-        let mut l = RoundLedger::new("mpc", 3);
-        l.set_recorder(&log);
-        l.begin_round().unwrap();
-        l.charge(0, 4).unwrap();
-        l.charge(2, 9).unwrap();
-        l.end_round().unwrap();
-        // Abandoned rounds record nothing.
-        l.begin_round().unwrap();
-        l.charge(1, 100).unwrap();
-        l.abandon_round();
-        l.begin_round().unwrap();
-        l.end_round().unwrap();
-        let rounds = log.take();
-        assert_eq!(rounds.len(), 2);
-        assert_eq!(rounds[0].substrate, "mpc");
-        assert_eq!(rounds[0].loads, vec![4, 0, 9]);
-        assert_eq!(rounds[1].loads, vec![0, 0, 0]);
-        assert!(log.is_empty(), "take drains the log");
-        // The metered trace itself is recorder-blind.
-        let mut bare = RoundLedger::new("mpc", 3);
-        bare.begin_round().unwrap();
-        bare.charge(0, 4).unwrap();
-        bare.charge(2, 9).unwrap();
-        bare.end_round().unwrap();
-        bare.begin_round().unwrap();
-        bare.end_round().unwrap();
-        assert_eq!(l.trace().per_round(), bare.trace().per_round());
-    }
-
-    #[test]
-    fn recorder_synthesizes_block_and_absorbed_rounds() {
-        let log = ChargeLog::new();
-        let mut l = RoundLedger::new("test", 4);
-        l.set_recorder(&log);
-        l.record_completed(2, 10, 4).unwrap();
-        let mut sub = ExecutionTrace::new();
-        sub.record(RoundSummary {
-            round: 1,
-            max_load_words: 7,
-            total_words: 7,
-        });
-        l.absorb(&sub);
-        let rounds = log.take();
-        assert_eq!(rounds.len(), 3);
-        for (charges, summary) in rounds.iter().zip(l.trace().per_round()) {
-            assert_eq!(
-                charges.loads.iter().copied().max().unwrap_or(0),
-                summary.max_load_words,
-                "synthesized max must reproduce the summary"
-            );
-            assert_eq!(
-                charges.loads.iter().sum::<usize>(),
-                summary.total_words,
-                "synthesized total must reproduce the summary"
-            );
-        }
     }
 
     #[test]

@@ -52,27 +52,6 @@ pub enum SubstrateError {
         /// Description of the violated constraint.
         message: String,
     },
-    /// A wire frame could not be decoded (bad magic, unsupported
-    /// version, oversized payload, checksum mismatch…). The byte stream
-    /// can no longer be trusted to frame a next message, so transport
-    /// code closes the connection after reporting it.
-    Frame {
-        /// Description of the framing violation.
-        message: String,
-    },
-    /// A networked party misbehaved or became unreachable during a
-    /// distributed round. Always names the offending party and the round
-    /// in which the failure was detected (`round` is 1-based; 0 means the
-    /// failure happened during the connection handshake, before any
-    /// round opened).
-    Net {
-        /// The 0-based id of the offending party.
-        party: usize,
-        /// The round in which the failure surfaced (0 = handshake).
-        round: usize,
-        /// What went wrong.
-        message: String,
-    },
 }
 
 impl fmt::Display for SubstrateError {
@@ -104,20 +83,6 @@ impl fmt::Display for SubstrateError {
             }
             SubstrateError::InvalidConfig { substrate, message } => {
                 write!(f, "[{substrate}] invalid configuration: {message}")
-            }
-            SubstrateError::Frame { message } => {
-                write!(f, "[net] frame error: {message}")
-            }
-            SubstrateError::Net {
-                party,
-                round,
-                message,
-            } => {
-                if *round == 0 {
-                    write!(f, "[net] party {party} failed during handshake: {message}")
-                } else {
-                    write!(f, "[net] party {party} failed in round {round}: {message}")
-                }
             }
         }
     }
@@ -172,26 +137,6 @@ mod tests {
         }
         .to_string()
         .contains("one player"));
-
-        assert!(SubstrateError::Frame {
-            message: "checksum mismatch".into()
-        }
-        .to_string()
-        .contains("checksum"));
-
-        let e = SubstrateError::Net {
-            party: 2,
-            round: 3,
-            message: "connection reset".into(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("party 2") && s.contains("round 3"));
-        let e = SubstrateError::Net {
-            party: 1,
-            round: 0,
-            message: "no hello".into(),
-        };
-        assert!(e.to_string().contains("handshake"));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `mmvc` — command-line front end for the workspace.
 //!
-//! Drives any registered algorithm × scenario pair through the unified
-//! run driver, and runs the paper's algorithms on edge-list files (one
-//! `u v` pair per line; `#` comments; optional `# vertices: n` header):
+//! Drives any registered algorithm through the unified run driver, on a
+//! registered scenario or on an edge-list file given with `--graph-file`
+//! (one `u v` pair per line; `#` comments; optional `# vertices: n`
+//! header):
 //!
 //! ```text
 //! mmvc list                                    # algorithms and scenarios
@@ -10,15 +11,9 @@
 //!          [--threads K] [--max-rounds R] [--max-load W] [--max-n N] [--json] [--canonical]
 //!          [--trace-out PATH] [--trace-jsonl PATH]
 //! mmvc bench [--smoke] [--out PATH]            # algorithm×scenario sweep
-//! mmvc net-run <algorithm> <scenario> [--parties N] [--processes] [--n N] [--seed S] [--eps E]
-//!              [--threads K] [--timeout-ms T] [--json] [--canonical] [--out PATH]
-//! mmvc party --addr HOST:PORT --party I --parties N [--timeout-ms T] [--fault die|corrupt|truncate:R]
 //! mmvc serve [--addr A] [--workers W] [--cache-cap K] [--max-n N]   # run-serving daemon
 //!            [--store-dir DIR] [--idle-timeout-ms T] [--max-reqs-per-conn R] [--trace-dir DIR]
 //! mmvc stats    <graph.txt>
-//! mmvc mis      <graph.txt> [--seed S] [--model mpc|clique|luby|seq] [--threads N]
-//! mmvc matching <graph.txt> [--seed S] [--eps E] [--exact]
-//! mmvc cover    <graph.txt> [--seed S] [--eps E]
 //! mmvc gen      gnp|powerlaw <n> <param> [--seed S]   # writes to stdout
 //! ```
 
@@ -46,15 +41,9 @@ const USAGE: &str = "usage:
            [--threads K] [--max-rounds R] [--max-load W] [--max-n N] [--json] [--canonical]
            [--trace-out PATH] [--trace-jsonl PATH]
   mmvc bench [--smoke] [--out PATH]
-  mmvc net-run <algorithm> <scenario> [--parties N] [--processes] [--n N] [--seed S] [--eps E]
-               [--threads K] [--timeout-ms T] [--json] [--canonical] [--out PATH]
-  mmvc party --addr HOST:PORT --party I --parties N [--timeout-ms T] [--fault die|corrupt|truncate:R]
   mmvc serve [--addr HOST:PORT] [--workers W] [--cache-cap K] [--max-n N]
              [--store-dir DIR] [--idle-timeout-ms T] [--max-reqs-per-conn R] [--trace-dir DIR]
   mmvc stats    <graph.txt>
-  mmvc mis      <graph.txt> [--seed S] [--model mpc|clique|luby|seq] [--threads N]
-  mmvc matching <graph.txt> [--seed S] [--eps E] [--exact]
-  mmvc cover    <graph.txt> [--seed S] [--eps E]
   mmvc gen gnp      <n> <p>          [--seed S]
   mmvc gen powerlaw <n> <avg_degree> [--seed S]";
 
@@ -64,13 +53,8 @@ fn run(args: &[String]) -> Result<(), String> {
         "list" => cmd_list(),
         "run" => cmd_run(args),
         "bench" => cmd_bench(args),
-        "net-run" => cmd_net_run(args),
-        "party" => cmd_party(args),
         "serve" => cmd_serve(args),
         "stats" => cmd_stats(args),
-        "mis" => cmd_mis(args),
-        "matching" => cmd_matching(args),
-        "cover" => cmd_cover(args),
         "gen" => cmd_gen(args),
         other => Err(format!("unknown command `{other}`")),
     }
@@ -287,166 +271,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `mmvc net-run`: run a metered MPC algorithm distributed over N local
-/// parties (threads by default, `--processes` for real `mmvc party`
-/// children) and print the wire-metered report. Exits nonzero if the
-/// distributed report's canonical bytes diverge from the in-process
-/// run, or if the ledger's words disagree with the payload bytes that
-/// actually crossed the wire — the CLI enforces the parity contract on
-/// every invocation, not just under test.
-fn cmd_net_run(args: &[String]) -> Result<(), String> {
-    use mmvc::core::distributed::{run_distributed, DistOptions, PartyLaunch};
-
-    let algorithm = args
-        .get(1)
-        .and_then(|a| AlgorithmKind::parse(a))
-        .ok_or_else(|| {
-            "missing or unknown algorithm (metered MPC kinds: greedy-mis, mpc-matching, filtering)"
-                .to_string()
-        })?;
-    let scenario = args
-        .get(2)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| {
-            format!(
-                "missing scenario (one of: {})",
-                scenarios::names().join(", ")
-            )
-        })?;
-
-    // Strict flag validation, same rationale as `mmvc run`.
-    const VALUE_FLAGS: [&str; 7] = [
-        "--parties",
-        "--n",
-        "--seed",
-        "--eps",
-        "--threads",
-        "--timeout-ms",
-        "--out",
-    ];
-    let mut i = 3;
-    while i < args.len() {
-        let a = &args[i];
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            if args.get(i + 1).is_none() {
-                return Err(format!("{a} requires a value"));
-            }
-            i += 2;
-        } else if a == "--processes" || a == "--json" || a == "--canonical" {
-            i += 1;
-        } else {
-            return Err(format!("unknown argument `{a}` for `mmvc net-run`"));
-        }
-    }
-
-    let mut spec = RunSpec::new(algorithm, scenario);
-    spec.n = parse_optional(args, "--n")?;
-    spec.seed = parse_seed(args)?;
-    spec.eps = parse_eps(args)?;
-    spec.executor = parse_executor(args)?;
-
-    let parties = parse_optional(args, "--parties")?.unwrap_or(4);
-    let mut opts = DistOptions::threads(parties);
-    if args.iter().any(|a| a == "--processes") {
-        let exe =
-            std::env::current_exe().map_err(|e| format!("cannot locate the mmvc binary: {e}"))?;
-        opts.launch = PartyLaunch::Processes { exe };
-    }
-    if let Some(t) = parse_optional::<u64>(args, "--timeout-ms")? {
-        opts.accept_timeout_ms = t;
-        opts.io_timeout_ms = t;
-    }
-
-    let out = run_distributed(&spec, &opts).map_err(|e| e.to_string())?;
-
-    let dist_bytes = mmvc::serve::canonical_report_body(out.report.clone());
-    let sim_bytes = mmvc::serve::canonical_report_body(out.sim_report.clone());
-    if dist_bytes != sim_bytes {
-        return Err(
-            "parity violation: distributed report diverged from the in-process run".to_string(),
-        );
-    }
-    if out.wire.data_payload_bytes != out.report.substrate.total_words {
-        return Err(format!(
-            "wire accounting mismatch: ledger charged {} words but {} payload bytes crossed the wire",
-            out.report.substrate.total_words, out.wire.data_payload_bytes
-        ));
-    }
-    eprintln!(
-        "parity      : report byte-identical to in-process run ({parties} parties, {} wire payload bytes)",
-        out.wire.data_payload_bytes
-    );
-
-    if let Some(path) = flag_value(args, "--out") {
-        std::fs::write(&path, &dist_bytes)
-            .map_err(|e| format!("cannot write report to {path}: {e}"))?;
-        eprintln!("report      : -> {path}");
-    }
-
-    let report = &out.report;
-    if args.iter().any(|a| a == "--canonical") {
-        print!("{}", String::from_utf8_lossy(&dist_bytes));
-    } else if args.iter().any(|a| a == "--json") {
-        print!("{}", mmvc_bench::report_json(report).render());
-    } else {
-        println!("algorithm   : {}", report.algorithm.name());
-        println!(
-            "scenario    : {} (n = {}, edges = {})",
-            report.scenario, report.n, report.num_edges
-        );
-        println!("parties     : {parties}");
-        println!("rounds      : {}", report.substrate.rounds);
-        println!("max_load    : {} words", report.substrate.max_load_words);
-        println!("total_words : {}", report.substrate.total_words);
-        println!(
-            "wire        : {} data frames, {} payload bytes, {} sent / {} received total",
-            out.wire.data_frames,
-            out.wire.data_payload_bytes,
-            out.wire.bytes_sent,
-            out.wire.bytes_received
-        );
-        println!("wall        : {:.1} ms", report.wall_ms);
-    }
-
-    if report.ok() {
-        Ok(())
-    } else {
-        Err("witness validation failed".to_string())
-    }
-}
-
-/// `mmvc party`: one networked party's role — connect to the
-/// coordinator, receive machine loads, acknowledge every round barrier.
-/// Launched by `mmvc net-run --processes` (and directly by tests); a
-/// misbehaving run exits nonzero with the transport error on stderr.
-fn cmd_party(args: &[String]) -> Result<(), String> {
-    use mmvc::substrate::net::{PartyFault, PartyRunner};
-
-    let addr: std::net::SocketAddr = flag_value(args, "--addr")
-        .ok_or("--addr is required")?
-        .parse()
-        .map_err(|_| "invalid --addr (need HOST:PORT)".to_string())?;
-    let party = parse_optional::<usize>(args, "--party")?.ok_or("--party is required")?;
-    let parties = parse_optional::<usize>(args, "--parties")?.ok_or("--parties is required")?;
-
-    let mut runner = PartyRunner::new(party, parties, addr);
-    if let Some(t) = parse_optional::<u64>(args, "--timeout-ms")? {
-        runner.io_timeout_ms = t;
-    }
-    if let Some(raw) = flag_value(args, "--fault") {
-        runner.fault = Some(PartyFault::parse(&raw).ok_or_else(|| {
-            format!("invalid --fault `{raw}` (expected die:R, corrupt:R or truncate:R)")
-        })?);
-    }
-
-    let stats = runner.run().map_err(|e| e.to_string())?;
-    println!("party       : {party}/{parties}");
-    println!("rounds      : {}", stats.rounds);
-    println!("data_frames : {}", stats.data_frames);
-    println!("words_recv  : {}", stats.words_received);
-    Ok(())
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use mmvc::serve::{ServeConfig, Server};
     let mut config = ServeConfig::default();
@@ -574,74 +398,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let (_, components) = g.connected_components();
     println!("components  : {components}");
     println!("degeneracy  : {}", stats::degeneracy(&g));
-    Ok(())
-}
-
-fn cmd_mis(args: &[String]) -> Result<(), String> {
-    let g = load_graph(args)?;
-    let seed = parse_seed(args)?;
-    let executor = parse_executor(args)?;
-    let model = flag_value(args, "--model").unwrap_or_else(|| "mpc".into());
-    match model.as_str() {
-        "mpc" => {
-            let mut cfg = GreedyMisConfig::new(seed);
-            cfg.executor = executor.clone();
-            let out = greedy_mpc_mis(&g, &cfg).map_err(|e| e.to_string())?;
-            println!("mis_size    : {}", out.mis.len());
-            println!("mpc_rounds  : {}", out.trace.rounds());
-            println!("phases      : {}", out.prefix_phases);
-            println!("max_load    : {} words", out.trace.max_load_words());
-        }
-        "clique" => {
-            let mut cfg = CliqueMisConfig::new(seed);
-            cfg.executor = executor.clone();
-            let out = clique_mis(&g, &cfg).map_err(|e| e.to_string())?;
-            println!("mis_size      : {}", out.mis.len());
-            println!("clique_rounds : {}", out.trace.rounds());
-            println!("max_inflow    : {} words", out.trace.max_load_words());
-        }
-        "luby" => {
-            let out = luby_mis(&g, seed);
-            println!("mis_size : {}", out.mis.len());
-            println!("rounds   : {}", out.rounds);
-        }
-        "seq" => {
-            let s = mis::randomized_greedy_mis(&g, seed);
-            println!("mis_size : {}", s.len());
-        }
-        other => return Err(format!("unknown --model `{other}`")),
-    }
-    Ok(())
-}
-
-fn cmd_matching(args: &[String]) -> Result<(), String> {
-    let g = load_graph(args)?;
-    let seed = parse_seed(args)?;
-    let eps = parse_eps(args)?;
-    let out = integral_matching(&g, &IntegralMatchingConfig::new(eps, seed))
-        .map_err(|e| e.to_string())?;
-    println!("matching_size : {}", out.matching.len());
-    println!("mpc_rounds    : {}", out.total_rounds);
-    if args.iter().any(|a| a == "--exact") {
-        let opt = matching::blossom(&g).len();
-        println!("optimum       : {opt}");
-        println!(
-            "ratio         : {:.4}",
-            opt as f64 / out.matching.len().max(1) as f64
-        );
-    }
-    Ok(())
-}
-
-fn cmd_cover(args: &[String]) -> Result<(), String> {
-    let g = load_graph(args)?;
-    let seed = parse_seed(args)?;
-    let eps = parse_eps(args)?;
-    let out = integral_matching(&g, &IntegralMatchingConfig::new(eps, seed))
-        .map_err(|e| e.to_string())?;
-    println!("cover_size : {}", out.cover.len());
-    println!("lower_bound: {}", out.matching.len());
-    println!("mpc_rounds : {}", out.total_rounds);
     Ok(())
 }
 
