@@ -28,7 +28,7 @@ use crate::mis::greedy_mpc::SparsifyThreshold;
 use crate::PAR_CHUNK;
 use mmvc_clique::CliqueNetwork;
 use mmvc_graph::mis::IndependentSet;
-use mmvc_graph::rng::{hash2, invert_permutation, random_permutation};
+use mmvc_graph::rng::{hash2, random_permutation};
 use mmvc_graph::{Graph, VertexId};
 use mmvc_substrate::{ExecutorConfig, Substrate};
 
@@ -155,7 +155,6 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
     // player its position (one word per player, one routing instance);
     // then everyone broadcasts its position (one all-to-all word).
     let perm = random_permutation(n, config.seed);
-    let ranks = invert_permutation(&perm);
     let tell_positions: Vec<(usize, usize, usize)> = (0..n)
         .filter(|&p| p != LEADER)
         .map(|p| (LEADER, p, 1))
@@ -215,10 +214,9 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
                     .collect();
                 route_batched(&mut net, &messages)?;
 
-                // Leader computes the greedy additions in rank order.
-                let mut order = batch.clone();
-                order.sort_unstable_by_key(|&v| ranks[v as usize]);
-                for &v in &order {
+                // Leader computes the greedy additions in rank order (the
+                // batch was drawn from `perm`, so it is in rank order).
+                for &v in &batch {
                     if !alive[v as usize] {
                         continue;
                     }
@@ -236,7 +234,7 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
                 route_batched(&mut net, &answers)?;
                 net.charge_rounds(1)?; // neighbor notification
 
-                for &v in &order {
+                for &v in &batch {
                     if in_mis[v as usize] {
                         alive[v as usize] = false;
                         for &u in g.neighbors(v) {
@@ -277,10 +275,12 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
 
     // Sparsified stage: each local round is one mark-exchange — one clique
     // round.
+    let local_span = exec.telemetry().span("mis.local");
     let local_cfg = LocalMisConfig {
         seed: hash2(config.seed, 0x10CA1),
         max_rounds: (2.0 * (tau.max(2) as f64).log2().ceil()) as usize + 4,
         target_edges: n,
+        executor: exec.clone(),
     };
     let local = ghaffari_local_mis(g, &alive, &local_cfg);
     for v in 0..n {
@@ -292,6 +292,7 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
         }
     }
     net.charge_rounds(local.rounds)?;
+    drop(local_span);
 
     // Final residue (O(n) edges) to the leader, finish greedily, answer.
     let remaining: Vec<VertexId> = (0..n as u32).filter(|&v| alive[v as usize]).collect();
@@ -314,9 +315,8 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
             .flatten()
             .collect();
         route_batched(&mut net, &messages)?;
-        let mut order = remaining.clone();
-        order.sort_unstable_by_key(|&v| ranks[v as usize]);
-        for &v in &order {
+        // `perm` lists the vertices in rank order.
+        for &v in perm.iter().filter(|&&v| alive[v as usize]) {
             if !g.neighbors(v).iter().any(|&u| in_mis[u as usize]) {
                 in_mis[v as usize] = true;
             }

@@ -25,7 +25,7 @@ use crate::error::CoreError;
 use crate::mis::ghaffari_local::{ghaffari_local_mis, LocalMisConfig};
 use crate::PAR_CHUNK;
 use mmvc_graph::mis::IndependentSet;
-use mmvc_graph::rng::{hash2, invert_permutation, random_permutation};
+use mmvc_graph::rng::{hash2, random_permutation};
 use mmvc_graph::{Graph, VertexId};
 use mmvc_mpc::{Cluster, MpcConfig};
 use mmvc_substrate::{Bitset, ExecutorConfig, Substrate};
@@ -148,7 +148,6 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
 
     // The uniform ranking π (Section 3.1).
     let perm = random_permutation(n, config.seed);
-    let ranks = invert_permutation(&perm);
 
     // Word-packed membership masks (1 bit/vertex instead of 1 byte) —
     // the per-round scans below stream these, and the word buffers come
@@ -216,10 +215,9 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
                 cluster.round(|r| r.receive(0, words))?;
 
                 // Machine 0 runs the sequential greedy over the batch in
-                // rank order (earlier ranks were already decided globally).
-                let mut order = batch.clone();
-                order.sort_unstable_by_key(|&v| ranks[v as usize]);
-                for &v in &order {
+                // rank order (earlier ranks were already decided globally);
+                // the batch was drawn from `perm`, so it is in rank order.
+                for &v in &batch {
                     if !alive.get(v as usize) {
                         continue;
                     }
@@ -231,9 +229,9 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
 
                 // One broadcast round: announce new MIS vertices; remove
                 // them and their neighbors everywhere.
-                let announced = order.iter().filter(|&&v| in_mis.get(v as usize)).count();
+                let announced = batch.iter().filter(|&&v| in_mis.get(v as usize)).count();
                 cluster.round(|r| r.broadcast(announced.min(budget)))?;
-                for &v in &order {
+                for &v in &batch {
                     if in_mis.get(v as usize) {
                         alive.clear(v as usize);
                         for &u in g.neighbors(v) {
@@ -277,54 +275,48 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
 
     // Sparsified stage: O(log τ) local rounds until the residue fits on a
     // machine.
+    let local_span = exec.telemetry().span("mis.local");
     let local_cfg = LocalMisConfig {
         seed: hash2(config.seed, 0x10CA1),
         max_rounds: (2.0 * (tau.max(2) as f64).log2().ceil()) as usize + 4,
         target_edges: budget / 4,
+        executor: exec.clone(),
     };
     // The sparsified subroutine keeps its historical `&[bool]` interface
     // (shared with the clique path); materialize the mask once.
     let alive_bools: Vec<bool> = (0..n).map(|v| alive.get(v)).collect();
     let local = ghaffari_local_mis(g, &alive_bools, &local_cfg);
+    let mut remaining = 0usize;
     for v in 0..n {
         if local.in_mis[v] {
             in_mis.set(v);
         }
         if local.decided[v] {
             alive.clear(v);
+        } else {
+            remaining += 1;
         }
     }
     // Each local round is O(1) MPC rounds with small per-machine load.
     cluster.charge_rounds(local.rounds, (n / machines).max(1).min(budget))?;
+    drop(local_span);
 
-    // Final gather: remaining graph on one machine, finish greedily.
-    let remaining: Vec<VertexId> = (0..n as u32).filter(|&v| alive.get(v as usize)).collect();
-    if !remaining.is_empty() {
-        let words = remaining.len()
-            + 2 * exec
-                .run_chunked(remaining.len(), PAR_CHUNK, |range| {
-                    remaining[range]
-                        .iter()
-                        .map(|&v| {
-                            g.neighbors(v)
-                                .iter()
-                                .filter(|&&u| alive.get(u as usize) && u > v)
-                                .count()
-                        })
-                        .sum::<usize>()
-                })
-                .into_iter()
-                .sum::<usize>();
+    // Final gather: remaining graph on one machine, finish greedily. Each
+    // remaining vertex ships itself, and the residual edges (which the
+    // local process counted) travel as two words each.
+    let gather_span = exec.telemetry().span("mis.gather");
+    if remaining > 0 {
+        let words = remaining + 2 * local.residual_edges;
         cluster.round(|r| r.receive(0, words))?;
-        let mut order = remaining.clone();
-        order.sort_unstable_by_key(|&v| ranks[v as usize]);
-        for &v in &order {
+        // `perm` lists the vertices in rank order.
+        for &v in perm.iter().filter(|&&v| alive.get(v as usize)) {
             let blocked = g.neighbors(v).iter().any(|&u| in_mis.get(u as usize));
             if !blocked {
                 in_mis.set(v as usize);
             }
         }
     }
+    drop(gather_span);
 
     let members: Vec<VertexId> = (0..n as u32).filter(|&v| in_mis.get(v as usize)).collect();
     alive.recycle(&pool);
@@ -346,6 +338,7 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
 mod tests {
     use super::*;
     use mmvc_graph::generators;
+    use mmvc_graph::rng::invert_permutation;
 
     #[test]
     fn mis_valid_on_many_graphs() {

@@ -1025,6 +1025,7 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
                 seed: spec.seed,
                 max_rounds: (4.0 * log2n).ceil() as usize,
                 target_edges: n.max(8),
+                executor: spec.executor.clone(),
             };
             let out = ghaffari_local_mis(g, &active, &cfg);
             let mut in_mis = out.in_mis.clone();

@@ -105,6 +105,37 @@ fn pin_clique_mis_invariant_under_executor() {
 }
 
 #[test]
+fn pin_local_mis_invariant_under_executor() {
+    // The `local-mis` kind drives the sparsified subroutine on the whole
+    // graph; its chunked passes must not leak the thread count into the
+    // report. n = 4096 spans several executor chunks.
+    use mmvc::core::run::{run, AlgorithmKind, RunSpec};
+    use mmvc::substrate::ExecutorConfig;
+    use mmvc_bench::report_json;
+    let mut baseline: Option<String> = None;
+    for exec in [
+        ExecutorConfig::sequential(),
+        ExecutorConfig::with_threads(2),
+        ExecutorConfig::with_threads(4),
+    ] {
+        let mut spec = RunSpec::new(AlgorithmKind::LocalMis, "gnp-sparse");
+        spec.n = Some(4096);
+        spec.seed = SEED;
+        spec.executor = exec.clone();
+        let mut report = run(&spec).unwrap();
+        assert_eq!(report.witnesses[0].size, 1210, "pin moved under {exec:?}");
+        report.wall_ms = 0.0;
+        let bytes = report_json(&report).render();
+        assert!(bytes.contains("\"process_rounds\": 4"), "{bytes}");
+        assert!(bytes.contains("\"residual_edges\": 2209"), "{bytes}");
+        match &baseline {
+            None => baseline = Some(bytes),
+            Some(b) => assert_eq!(&bytes, b, "report moved under {exec:?}"),
+        }
+    }
+}
+
+#[test]
 fn pin_integral_matching() {
     let eps = Epsilon::new(0.1).unwrap();
     let out = integral_matching(&fixture(), &IntegralMatchingConfig::new(eps, SEED)).unwrap();
