@@ -1,13 +1,11 @@
-//! Wall-time of the substrate primitives: graph generation, vertex
-//! partitioning, MPC round metering, clique routing, and the round
-//! engine's sequential-vs-threaded executors on both substrates.
+//! Wall-time of the substrate primitives: graph generation, MPC round
+//! metering, clique routing, and the round engine's sequential-vs-threaded
+//! executors on both substrates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmvc_clique::CliqueNetwork;
 use mmvc_core::mis::{clique_mis, greedy_mpc_mis, CliqueMisConfig, GreedyMisConfig};
 use mmvc_graph::generators;
-use mmvc_mpc::{random_vertex_partition, Cluster, MpcConfig};
-use mmvc_substrate::{ExecutorConfig, Substrate};
+use mmvc_substrate::{CliqueNetwork, Cluster, ExecutorConfig, MpcConfig, Substrate};
 
 fn bench_substrates(c: &mut Criterion) {
     let mut group = c.benchmark_group("generators");
@@ -29,10 +27,6 @@ fn bench_substrates(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(4));
     group.warm_up_time(std::time::Duration::from_secs(1));
-    let vertices: Vec<u32> = (0..1u32 << 16).collect();
-    group.bench_function("partition_64k_into_256", |b| {
-        b.iter(|| random_vertex_partition(&vertices, 256, 7))
-    });
     group.bench_function("cluster_1000_rounds", |b| {
         b.iter(|| {
             let mut cl = Cluster::new(MpcConfig::new(64, 1 << 20).expect("valid"));
@@ -40,15 +34,6 @@ fn bench_substrates(c: &mut Criterion) {
                 cl.round(|r| r.broadcast(100)).expect("within budget");
             }
             cl.rounds()
-        })
-    });
-    group.bench_function("mpc_sort_100k", |b| {
-        let items: Vec<u64> = (0..100_000u64)
-            .map(|i| i.wrapping_mul(0x9E3779B9))
-            .collect();
-        b.iter(|| {
-            let mut cl = Cluster::new(MpcConfig::new(32, 1 << 20).expect("valid"));
-            mmvc_mpc::mpc_sort(&mut cl, &items).expect("fits")
         })
     });
     group.finish();

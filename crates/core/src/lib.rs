@@ -3,8 +3,9 @@
 //! From-scratch implementation of the algorithms in **"Improved Massively
 //! Parallel Computation Algorithms for MIS, Matching, and Vertex Cover"**
 //! (Ghaffari, Gouleakis, Konrad, Mitrović, Rubinfeld — PODC 2018,
-//! arXiv:1802.08237), running on the simulated substrates of
-//! [`mmvc_mpc`] and [`mmvc_clique`].
+//! arXiv:1802.08237), running on the metered MPC and CONGESTED-CLIQUE
+//! models of [`mmvc_substrate`] ([`Cluster`](mmvc_substrate::Cluster),
+//! [`CliqueNetwork`](mmvc_substrate::CliqueNetwork)).
 //!
 //! ## What's here
 //!

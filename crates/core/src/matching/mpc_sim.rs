@@ -52,8 +52,7 @@ use crate::PAR_CHUNK;
 use mmvc_graph::rng::hash2;
 use mmvc_graph::vertex_cover::VertexCover;
 use mmvc_graph::{Graph, VertexId};
-use mmvc_mpc::{random_vertex_partition, Cluster, MpcConfig};
-use mmvc_substrate::{ExecutorConfig, Substrate};
+use mmvc_substrate::{Cluster, ExecutorConfig, MpcConfig, Substrate};
 
 /// Iterations-per-phase and loop-exit schedule; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,7 +323,7 @@ enum PhasePlan {
 ///
 /// # Errors
 ///
-/// * [`CoreError::Mpc`] if a machine's memory budget is exceeded while
+/// * [`CoreError::Substrate`] if a machine's memory budget is exceeded while
 ///   gathering an induced subgraph — the simulator verifies the paper's
 ///   `O(n)`-per-machine claim instead of assuming it.
 /// * [`CoreError::InvalidParameter`] for a non-positive `space_factor`.
@@ -352,8 +351,8 @@ pub fn mpc_simulation(
     // Cluster sized for the first (largest) phase: m = ceil(c·sqrt(n)).
     let max_machines = ((config.machine_factor * (n.max(4) as f64).sqrt()).ceil() as usize).max(2);
     let words = ((config.space_factor * n.max(1) as f64).ceil() as usize).max(16);
-    let mut cluster =
-        Cluster::new(MpcConfig::new(max_machines, words)?).with_executor(config.executor.clone());
+    let mut cluster = Cluster::new(MpcConfig::new(max_machines, words)?);
+    cluster.set_telemetry(config.executor.telemetry());
 
     let thresholds = match config.threshold_mode {
         ThresholdMode::Random => ThresholdRule::Random { seed: config.seed },
@@ -504,6 +503,24 @@ pub fn mpc_simulation(
     Ok(finish(state, phases, tail_iterations, cluster, diagnostics))
 }
 
+/// The machine vertex `v` is assigned to by a phase's random vertex
+/// partition: uniform over `m` machines and derived statelessly from
+/// `seed`, so any simulated machine can recompute the assignment.
+fn machine_of(v: VertexId, m: usize, seed: u64) -> usize {
+    (hash2(seed, v as u64) % m as u64) as usize
+}
+
+/// Line (d): vertex-based random partitioning (Sections 3.2 and 4.3, the
+/// technique of \[CŁM+18\]) — groups `vertices` by [`machine_of`], so
+/// `parts.len() == m` and every input vertex lands in exactly one part.
+fn random_vertex_partition(vertices: &[VertexId], m: usize, seed: u64) -> Vec<Vec<VertexId>> {
+    let mut parts: Vec<Vec<VertexId>> = vec![Vec::with_capacity(vertices.len() / m + 1); m];
+    for &v in vertices {
+        parts[machine_of(v, m, seed)].push(v);
+    }
+    parts
+}
+
 /// One phase of the main loop (lines (a)–(e) of the pseudocode). Returns
 /// the number of `Central-Rand` iterations covered (simulated + skipped).
 fn run_phase(
@@ -542,15 +559,14 @@ fn run_phase(
         .filter(|&v| !state.removed[v as usize])
         .collect();
     let part_seed = hash2(state.seed_base(), phase_index as u64);
-    let machine_of = |v: u32| -> usize { (hash2(part_seed, v as u64) % m as u64) as usize };
     let parts = random_vertex_partition(&v_prime, m, part_seed);
 
     // Local induced subgraphs: adjacency among same-machine active edges.
     let mut local_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut local_edge_count = vec![0usize; m];
     for &(u, v) in &active_edges {
-        let mu = machine_of(u);
-        if mu == machine_of(v) {
+        let mu = machine_of(u, m, part_seed);
+        if mu == machine_of(v, m, part_seed) {
             local_adj[u as usize].push(v);
             local_adj[v as usize].push(u);
             local_edge_count[mu] += 1;
@@ -876,6 +892,77 @@ fn finish(
 mod tests {
     use super::*;
     use mmvc_graph::{generators, matching, Graph};
+    use mmvc_substrate::SubstrateError;
+    use proptest::prelude::*;
+
+    #[test]
+    fn partition_is_exhaustive_and_disjoint() {
+        let verts: Vec<u32> = (0..1000).collect();
+        for m in [1, 7] {
+            let parts = random_vertex_partition(&verts, m, 3);
+            assert_eq!(parts.len(), m);
+            let mut seen = vec![false; 1000];
+            for part in &parts {
+                for &v in part {
+                    assert!(!seen[v as usize], "vertex {v} appears twice");
+                    seen[v as usize] = true;
+                }
+            }
+            assert!(seen.iter().all(|&s| s));
+        }
+        assert!(random_vertex_partition(&[], 3, 0).iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn partition_consistent_with_machine_of() {
+        // The per-machine loads and the same-machine edge test must see
+        // one assignment.
+        let verts: Vec<u32> = (0..200).collect();
+        let parts = random_vertex_partition(&verts, 5, 11);
+        for (i, part) in parts.iter().enumerate() {
+            for &v in part {
+                assert_eq!(machine_of(v, 5, 11), i);
+            }
+        }
+    }
+
+    #[test]
+    fn partition_balanced_in_expectation() {
+        let verts: Vec<u32> = (0..10_000).collect();
+        let m = 10;
+        let parts = random_vertex_partition(&verts, m, 99);
+        let expected = 10_000 / m;
+        for (i, part) in parts.iter().enumerate() {
+            let len = part.len();
+            assert!(
+                (len as f64 - expected as f64).abs() < 0.15 * expected as f64,
+                "part {i} has {len}, expected ≈{expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn partition_deterministic_and_seed_sensitive() {
+        let verts: Vec<u32> = (0..100).collect();
+        assert_eq!(
+            random_vertex_partition(&verts, 4, 1),
+            random_vertex_partition(&verts, 4, 1)
+        );
+        assert_ne!(
+            random_vertex_partition(&verts, 4, 1),
+            random_vertex_partition(&verts, 4, 2)
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn partition_always_exhaustive(n in 0usize..500, m in 1usize..12, seed: u64) {
+            let verts: Vec<u32> = (0..n as u32).collect();
+            let parts = random_vertex_partition(&verts, m, seed);
+            prop_assert_eq!(parts.len(), m);
+            prop_assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), n);
+        }
+    }
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -979,7 +1066,11 @@ mod tests {
         let err = mpc_simulation(&g, &c).unwrap_err();
         assert!(matches!(
             err,
-            CoreError::Mpc(mmvc_mpc::MpcError::MemoryExceeded { .. })
+            CoreError::Substrate(SubstrateError::LoadExceeded {
+                substrate: "mpc",
+                round: Some(_),
+                ..
+            })
         ));
     }
 

@@ -26,11 +26,10 @@ use crate::error::CoreError;
 use crate::mis::ghaffari_local::{ghaffari_local_mis, LocalMisConfig};
 use crate::mis::greedy_mpc::SparsifyThreshold;
 use crate::PAR_CHUNK;
-use mmvc_clique::CliqueNetwork;
 use mmvc_graph::mis::IndependentSet;
 use mmvc_graph::rng::{hash2, random_permutation};
 use mmvc_graph::{Graph, VertexId};
-use mmvc_substrate::{ExecutorConfig, Substrate};
+use mmvc_substrate::{CliqueNetwork, ExecutorConfig, Substrate};
 
 /// Configuration for [`clique_mis`].
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +115,7 @@ fn route_batched(
 /// # Errors
 ///
 /// * [`CoreError::InvalidParameter`] for `alpha` outside `(0, 1)`.
-/// * [`CoreError::Clique`] if the simulated network rejects an operation
+/// * [`CoreError::Substrate`] if the simulated network rejects an operation
 ///   (cannot happen for valid graphs thanks to batched routing).
 ///
 /// # Examples

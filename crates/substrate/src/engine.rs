@@ -1,12 +1,12 @@
-//! The shared round engine: the open-round state machine both simulated
-//! substrates drive.
+//! The shared round engine: the open-round state machine both metered
+//! models drive.
 //!
-//! Before this layer existed, `mmvc_mpc::Cluster` and
-//! `mmvc_clique::CliqueNetwork` each hand-rolled the same lifecycle —
-//! open a round, accumulate per-slot loads, close the round into a
-//! [`RoundSummary`], reject protocol misuse — differing only in *policy*
-//! (what a "slot" is and which budget a charge is checked against).
-//! [`RoundLedger`] owns the mechanism; the simulators keep the policy:
+//! [`Cluster`](crate::Cluster) and [`CliqueNetwork`](crate::CliqueNetwork)
+//! share one lifecycle — open a round, accumulate per-slot loads, close
+//! the round into a [`RoundSummary`], reject protocol misuse — and differ
+//! only in *policy* (what a "slot" is and which budget a charge is checked
+//! against). [`RoundLedger`] owns the mechanism; the models keep the
+//! policy:
 //!
 //! * a **slot** is a machine (MPC) or a player (CONGESTED-CLIQUE);
 //! * a **charge** is words received by / addressed to that slot in the
@@ -15,11 +15,10 @@
 //!   `total_words = Σ loads` — the two quantities the paper's theorems
 //!   bound.
 //!
-//! Budget enforcement stays in the wrappers (a memory violation names a
+//! Budget enforcement stays in the models (a memory violation names a
 //! machine, a bandwidth violation names a link); the ledger only reports
-//! the substrate-agnostic failures ([`SubstrateError::RoundProtocol`],
-//! [`SubstrateError::InvalidAddress`]) that were previously duplicated in
-//! both simulators.
+//! the failures common to both ([`SubstrateError::RoundProtocol`],
+//! [`SubstrateError::InvalidAddress`]).
 //!
 //! ```
 //! use mmvc_substrate::RoundLedger;
@@ -182,10 +181,9 @@ impl RoundLedger {
     /// Charges `words` to `slot` in the open round, returning the slot's
     /// new cumulative load.
     ///
-    /// The ledger enforces no budget — wrappers check their model's
-    /// capacity against [`load`](Self::load) *before* charging, so their
-    /// error variants keep the model vocabulary (machine memory vs link
-    /// bandwidth).
+    /// The ledger enforces no budget — the models check their capacity
+    /// against [`load`](Self::load) *before* charging, so their errors
+    /// name what overflowed (machine memory vs link bandwidth).
     ///
     /// # Errors
     ///

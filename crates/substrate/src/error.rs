@@ -1,11 +1,14 @@
-//! The substrate-agnostic error type.
+//! The one error type of both metered models.
 //!
-//! Both simulated substrates (`mmvc-mpc`, `mmvc-clique`) keep their own
-//! model-specific error enums — a memory-budget violation names a machine,
-//! a bandwidth violation names a link — but every variant converts into
-//! [`SubstrateError`] (each substrate crate provides the `From` impl), so
-//! harness code can handle "the substrate rejected this execution"
-//! uniformly without matching on which substrate ran.
+//! [`Cluster`](crate::Cluster) (MPC) and
+//! [`CliqueNetwork`](crate::CliqueNetwork) (CONGESTED-CLIQUE) return
+//! [`SubstrateError`] directly. The model vocabulary lives in the values,
+//! not in separate enums: a memory-budget violation is a
+//! [`LoadExceeded`](SubstrateError::LoadExceeded) at `machine {m}`, a
+//! bandwidth violation one at `link {a}->{b}`, and a violated Lenzen
+//! routing precondition one at `player {p} as sender|receiver`. Harness
+//! code handles "the substrate rejected this execution" uniformly without
+//! matching on which substrate ran.
 
 use std::error::Error;
 use std::fmt;

@@ -1,26 +1,32 @@
 //! # mmvc-substrate
 //!
-//! The shared metering layer under both simulated substrates of the `mmvc`
-//! workspace — the from-scratch reproduction of *"Improved Massively
-//! Parallel Computation Algorithms for MIS, Matching, and Vertex Cover"*
-//! (Ghaffari, Gouleakis, Konrad, Mitrović, Rubinfeld — PODC 2018).
+//! The metered models under the `mmvc` workspace — the from-scratch
+//! reproduction of *"Improved Massively Parallel Computation Algorithms
+//! for MIS, Matching, and Vertex Cover"* (Ghaffari, Gouleakis, Konrad,
+//! Mitrović, Rubinfeld — PODC 2018).
 //!
 //! The paper states its theorems against **two** models: MPC (machines ×
 //! words of memory; Section 1.1.1) and CONGESTED-CLIQUE (per-link
 //! bandwidth; Section 1.1.2). Both charge *rounds* and *words*, and every
 //! experiment in the harness reports the same three measured quantities
-//! against the paper's claims. This crate owns that common vocabulary:
+//! against the paper's claims. This crate owns both models and their
+//! common vocabulary:
 //!
-//! * [`Substrate`] — the trait both `mmvc_mpc::Cluster` and
-//!   `mmvc_clique::CliqueNetwork` implement: `rounds()`,
+//! * [`Cluster`] / [`MpcConfig`] — the MPC simulator: `m` machines with
+//!   `S` words each, every per-round charge checked against the memory
+//!   budget;
+//! * [`CliqueNetwork`] — the CONGESTED-CLIQUE simulator: per-pair
+//!   bandwidth, all-to-all exchange, and Lenzen routing with its
+//!   precondition checked;
+//! * [`Substrate`] — the trait both models implement: `rounds()`,
 //!   `max_load_words()`, `total_words()`, and access to the full
 //!   [`ExecutionTrace`];
 //! * [`ExecutionTrace`] / [`RoundSummary`] — the unified per-round record;
 //! * [`RoundLedger`] — the shared open-round state machine (begin /
-//!   charge / end, protocol guards) both simulators are thin policy
-//!   wrappers over;
+//!   charge / end, protocol guards) both models are thin policy wrappers
+//!   over;
 //! * [`ExecutorConfig`] — deterministic sequential/threaded execution of
-//!   per-machine and per-player closures (results byte-identical for any
+//!   per-machine and per-chunk closures (results byte-identical for any
 //!   thread count);
 //! * [`WorkerPool`] — the streaming counterpart for jobs that arrive
 //!   over time (the serving layer's connection pool), under the same
@@ -34,8 +40,9 @@
 //! * [`Telemetry`] / [`TraceEvent`] — the out-of-band span/counter sink
 //!   threaded through the same configs (strictly an observer: report
 //!   bytes are pinned byte-identical with telemetry on or off);
-//! * [`SubstrateError`] — the substrate-agnostic failure type every
-//!   model-specific error converts into.
+//! * [`SubstrateError`] — the one failure type of both models: a memory,
+//!   bandwidth or routing overflow, a bad id, a bad configuration, or
+//!   round-protocol misuse.
 //!
 //! ```
 //! use mmvc_substrate::{ExecutionTrace, RoundSummary, Substrate};
@@ -54,18 +61,22 @@
 #![warn(missing_docs)]
 
 mod bitset;
+mod cluster;
 mod engine;
 mod error;
 mod executor;
+mod network;
 mod pool;
 mod scratch;
 mod telemetry;
 mod trace;
 
 pub use bitset::Bitset;
+pub use cluster::{Cluster, MpcConfig, RoundCtx};
 pub use engine::RoundLedger;
 pub use error::SubstrateError;
 pub use executor::ExecutorConfig;
+pub use network::{CliqueNetwork, CliqueRoundCtx, LENZEN_ROUTING_ROUNDS};
 pub use pool::{Completions, WorkerPool};
 pub use scratch::{ScratchPool, ScratchStats};
 pub use telemetry::{EventKind, Span, Telemetry, TraceEvent};
@@ -73,8 +84,8 @@ pub use trace::{ExecutionTrace, RoundSummary};
 
 /// A metered execution substrate.
 ///
-/// Implemented by the live simulators (`mmvc_mpc::Cluster`,
-/// `mmvc_clique::CliqueNetwork`) and by [`ExecutionTrace`] itself, so the
+/// Implemented by the live simulators ([`Cluster`], [`CliqueNetwork`])
+/// and by [`ExecutionTrace`] itself, so the
 /// harness can report rounds and loads through one code path whether it
 /// holds a live substrate or a finished trace.
 pub trait Substrate {
@@ -158,6 +169,56 @@ mod proptests {
             let s = l.end_round().unwrap();
             prop_assert_eq!(s.total_words, expect);
             prop_assert!(s.max_load_words <= expect);
+        }
+
+        #[test]
+        fn trace_totals_match_per_round(
+            charges in proptest::collection::vec((0usize..4, 0usize..50), 0..40)
+        ) {
+            let mut c = Cluster::new(MpcConfig::new(4, 10_000).unwrap());
+            c.begin_round().unwrap();
+            let mut expect_total = 0usize;
+            for (m, w) in charges {
+                c.receive(m, w).unwrap();
+                expect_total += w;
+            }
+            let s = c.end_round().unwrap();
+            prop_assert_eq!(s.total_words, expect_total);
+            prop_assert!(s.max_load_words <= expect_total);
+        }
+
+        #[test]
+        fn budget_never_silently_exceeded(words in 0usize..300, budget in 1usize..200) {
+            let mut c = Cluster::new(MpcConfig::new(1, budget).unwrap());
+            c.begin_round().unwrap();
+            let r = c.receive(0, words);
+            if words <= budget {
+                prop_assert!(r.is_ok());
+            } else {
+                let exceeded = matches!(r, Err(SubstrateError::LoadExceeded { .. }));
+                prop_assert!(exceeded);
+            }
+        }
+
+        #[test]
+        fn routing_feasible_iff_loads_ok(
+            n in 2usize..12,
+            raw in proptest::collection::vec((0usize..12, 0usize..12, 0usize..6), 0..30)
+        ) {
+            let msgs: Vec<(usize, usize, usize)> = raw
+                .into_iter()
+                .map(|(f, t, w)| (f % n, t % n, w))
+                .collect();
+            let mut out = vec![0usize; n];
+            let mut inc = vec![0usize; n];
+            for &(f, t, w) in &msgs {
+                out[f] += w;
+                inc[t] += w;
+            }
+            let feasible = (0..n).all(|p| out[p] <= n && inc[p] <= n);
+            let mut net = CliqueNetwork::new(n).unwrap();
+            let result = net.lenzen_route(&msgs);
+            prop_assert_eq!(result.is_ok(), feasible);
         }
     }
 }

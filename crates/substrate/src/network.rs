@@ -1,14 +1,30 @@
-//! The simulated CONGESTED-CLIQUE network.
+//! The simulated CONGESTED-CLIQUE network (paper, Section 1.1.2).
+//!
+//! In the model (Lotker–Pavlov–Patt-Shamir–Peleg), `n` players
+//! communicate in synchronous rounds; in each round every ordered pair of
+//! players can exchange `O(log n)` bits (one *word* here). Besides
+//! point-to-point sends, the paper's algorithms rely on **Lenzen's routing
+//! scheme** \[Len13\]: any routing instance where each player sends and
+//! receives at most `n` words completes in `O(1)` rounds. The simulator
+//! *checks that precondition* and fails with a
+//! [`SubstrateError::LoadExceeded`] when an algorithm violates it.
 //!
 //! The round lifecycle (open/charge/close, protocol guards) is the shared
-//! [`RoundLedger`] of `mmvc-substrate`; this type adds the clique
-//! *policy* — a slot is a player, the charge of a `send` is the words the
-//! receiving player takes in, and every link `(from, to)` is additionally
-//! checked against the per-round per-pair bandwidth.
+//! [`RoundLedger`]; this type adds the clique *policy* — a slot is a
+//! player, the charge of a `send` is the words the receiving player takes
+//! in, and every link `(from, to)` is additionally checked against the
+//! per-round per-pair bandwidth.
 
-use crate::error::{CliqueError, RoutingRole};
-use mmvc_substrate::{ExecutionTrace, RoundLedger, Substrate};
+use crate::engine::RoundLedger;
+use crate::error::SubstrateError;
+use crate::telemetry::Telemetry;
+use crate::trace::ExecutionTrace;
+use crate::Substrate;
 use std::collections::HashMap;
+
+/// The substrate name the CONGESTED-CLIQUE model reports in traces and
+/// errors.
+const CLIQUE: &str = "congested-clique";
 
 /// Number of rounds charged for one invocation of Lenzen's routing scheme.
 ///
@@ -24,13 +40,13 @@ pub const LENZEN_ROUTING_ROUNDS: usize = 2;
 /// `n` players communicate in synchronous rounds; per round, every ordered
 /// pair of players may exchange `O(log n)` bits — one *word* by default.
 /// The simulator meters per-link bandwidth, counts rounds, and provides the
-/// two primitives the paper's algorithms use: [`broadcast`](Self::broadcast)
+/// primitives the paper's algorithms use: [`all_to_all`](Self::all_to_all)
 /// and [`lenzen_route`](Self::lenzen_route).
 ///
 /// # Examples
 ///
 /// ```
-/// use mmvc_clique::{CliqueNetwork, Substrate};
+/// use mmvc_substrate::{CliqueNetwork, Substrate};
 ///
 /// let mut net = CliqueNetwork::new(8)?;
 /// net.round(|r| {
@@ -38,7 +54,12 @@ pub const LENZEN_ROUTING_ROUNDS: usize = 2;
 ///     Ok(())
 /// })?;
 /// assert_eq!(net.rounds(), 1);
-/// # Ok::<(), mmvc_clique::CliqueError>(())
+///
+/// // Leader 0 collects one word from everyone via Lenzen routing.
+/// let msgs: Vec<(usize, usize, usize)> = (1..8).map(|p| (p, 0, 1)).collect();
+/// net.lenzen_route(&msgs)?;
+/// assert_eq!(net.rounds(), 3);
+/// # Ok::<(), mmvc_substrate::SubstrateError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct CliqueNetwork {
@@ -63,8 +84,8 @@ impl CliqueNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`CliqueError::InvalidConfig`] if `n == 0`.
-    pub fn new(n: usize) -> Result<Self, CliqueError> {
+    /// [`SubstrateError::InvalidConfig`] if `n == 0`.
+    pub fn new(n: usize) -> Result<Self, SubstrateError> {
         Self::with_bandwidth(n, 1)
     }
 
@@ -73,23 +94,23 @@ impl CliqueNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`CliqueError::InvalidConfig`] if `n == 0` or
+    /// [`SubstrateError::InvalidConfig`] if `n == 0` or
     /// `words_per_pair == 0`.
-    pub fn with_bandwidth(n: usize, words_per_pair: usize) -> Result<Self, CliqueError> {
+    pub fn with_bandwidth(n: usize, words_per_pair: usize) -> Result<Self, SubstrateError> {
+        let invalid = |message: &str| SubstrateError::InvalidConfig {
+            substrate: CLIQUE,
+            message: message.into(),
+        };
         if n == 0 {
-            return Err(CliqueError::InvalidConfig {
-                message: "need at least one player".into(),
-            });
+            return Err(invalid("need at least one player"));
         }
         if words_per_pair == 0 {
-            return Err(CliqueError::InvalidConfig {
-                message: "per-pair bandwidth must be positive".into(),
-            });
+            return Err(invalid("per-pair bandwidth must be positive"));
         }
         Ok(CliqueNetwork {
             n,
             words_per_pair,
-            ledger: RoundLedger::new("congested-clique", n),
+            ledger: RoundLedger::new(CLIQUE, n),
             open_links: HashMap::new(),
         })
     }
@@ -100,11 +121,9 @@ impl CliqueNetwork {
     }
 
     /// Attaches a telemetry sink: completed rounds emit spans (tagged
-    /// `congested-clique`) when it is enabled. The network has no
-    /// executor of its own, so callers pass the sink from the run's
-    /// `ExecutorConfig` explicitly. Strictly an observer — the metered
-    /// trace is identical with or without it.
-    pub fn set_telemetry(&mut self, telemetry: &mmvc_substrate::Telemetry) {
+    /// `congested-clique`) when it is enabled. Strictly an observer — the
+    /// metered trace is identical with or without it.
+    pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.ledger.set_telemetry(telemetry);
     }
 
@@ -113,9 +132,13 @@ impl CliqueNetwork {
         self.words_per_pair
     }
 
-    fn check_player(&self, player: usize) -> Result<(), CliqueError> {
+    fn check_player(&self, player: usize) -> Result<(), SubstrateError> {
         if player >= self.n {
-            Err(CliqueError::NoSuchPlayer { player, n: self.n })
+            Err(SubstrateError::InvalidAddress {
+                substrate: CLIQUE,
+                address: player,
+                limit: self.n,
+            })
         } else {
             Ok(())
         }
@@ -125,9 +148,8 @@ impl CliqueNetwork {
     ///
     /// # Errors
     ///
-    /// [`CliqueError::Substrate`] (round protocol) if a round is already
-    /// open.
-    pub fn begin_round(&mut self) -> Result<(), CliqueError> {
+    /// [`SubstrateError::RoundProtocol`] if a round is already open.
+    pub fn begin_round(&mut self) -> Result<(), SubstrateError> {
         self.ledger.begin_round()?;
         self.open_links.clear();
         Ok(())
@@ -137,20 +159,21 @@ impl CliqueNetwork {
     ///
     /// # Errors
     ///
-    /// * [`CliqueError::Substrate`] (round protocol) if no round is open.
-    /// * [`CliqueError::NoSuchPlayer`] for invalid ids.
-    /// * [`CliqueError::BandwidthExceeded`] if the link budget overflows.
-    pub fn send(&mut self, from: usize, to: usize, words: usize) -> Result<(), CliqueError> {
+    /// * [`SubstrateError::InvalidAddress`] for invalid ids.
+    /// * [`SubstrateError::RoundProtocol`] if no round is open.
+    /// * [`SubstrateError::LoadExceeded`] (location `link {from}->{to}`)
+    ///   if the link budget overflows.
+    pub fn send(&mut self, from: usize, to: usize, words: usize) -> Result<(), SubstrateError> {
         self.check_player(from)?;
         self.check_player(to)?;
         self.ledger.ensure_open()?;
         let used = self.open_links.entry((from as u32, to as u32)).or_insert(0);
         let attempted = *used + words;
         if attempted > self.words_per_pair {
-            return Err(CliqueError::BandwidthExceeded {
-                from,
-                to,
-                round: self.ledger.current_round(),
+            return Err(SubstrateError::LoadExceeded {
+                substrate: CLIQUE,
+                location: format!("link {from}->{to}"),
+                round: Some(self.ledger.current_round()),
                 attempted_words: attempted,
                 budget_words: self.words_per_pair,
             });
@@ -164,8 +187,8 @@ impl CliqueNetwork {
     ///
     /// # Errors
     ///
-    /// [`CliqueError::Substrate`] (round protocol) if no round is open.
-    pub fn end_round(&mut self) -> Result<(), CliqueError> {
+    /// [`SubstrateError::RoundProtocol`] if no round is open.
+    pub fn end_round(&mut self) -> Result<(), SubstrateError> {
         self.ledger.end_round()?;
         Ok(())
     }
@@ -179,8 +202,8 @@ impl CliqueNetwork {
     /// Propagates errors from `f` and round management.
     pub fn round<T>(
         &mut self,
-        f: impl FnOnce(&mut CliqueRoundCtx<'_>) -> Result<T, CliqueError>,
-    ) -> Result<T, CliqueError> {
+        f: impl FnOnce(&mut CliqueRoundCtx<'_>) -> Result<T, SubstrateError>,
+    ) -> Result<T, SubstrateError> {
         self.begin_round()?;
         let mut ctx = CliqueRoundCtx { net: self };
         match f(&mut ctx) {
@@ -195,37 +218,6 @@ impl CliqueNetwork {
         }
     }
 
-    /// Broadcasts `words` words from `from` to every other player, using as
-    /// many rounds as the per-pair bandwidth requires
-    /// (`ceil(words / words_per_pair)`).
-    ///
-    /// Returns the number of rounds consumed. Broadcasting zero words is a
-    /// no-op costing zero rounds.
-    ///
-    /// # Errors
-    ///
-    /// * [`CliqueError::NoSuchPlayer`] for an invalid id.
-    /// * [`CliqueError::Substrate`] (round protocol) if a round is already
-    ///   open.
-    pub fn broadcast(&mut self, from: usize, words: usize) -> Result<usize, CliqueError> {
-        self.check_player(from)?;
-        let rounds_needed = words.div_ceil(self.words_per_pair);
-        let mut remaining = words;
-        for _ in 0..rounds_needed {
-            let chunk = remaining.min(self.words_per_pair);
-            self.round(|r| {
-                for to in 0..r.net.n {
-                    if to != from {
-                        r.send(from, to, chunk)?;
-                    }
-                }
-                Ok(())
-            })?;
-            remaining -= chunk;
-        }
-        Ok(rounds_needed)
-    }
-
     /// Charges a full all-to-all exchange in which every ordered pair
     /// exchanges `words` words, using `ceil(words / words_per_pair)`
     /// rounds. Accounting is `O(1)` (no per-link map entries), making this
@@ -236,9 +228,8 @@ impl CliqueNetwork {
     ///
     /// # Errors
     ///
-    /// [`CliqueError::Substrate`] (round protocol) if a round is already
-    /// open.
-    pub fn all_to_all(&mut self, words: usize) -> Result<usize, CliqueError> {
+    /// [`SubstrateError::RoundProtocol`] if a round is already open.
+    pub fn all_to_all(&mut self, words: usize) -> Result<usize, SubstrateError> {
         self.ledger.ensure_no_open_round()?;
         let rounds_needed = words.div_ceil(self.words_per_pair);
         let pairs = self.n * self.n.saturating_sub(1);
@@ -262,14 +253,17 @@ impl CliqueNetwork {
     ///
     /// # Errors
     ///
-    /// * [`CliqueError::NoSuchPlayer`] for invalid ids.
-    /// * [`CliqueError::RoutingOverload`] if a player's send or receive
-    ///   total exceeds `n` words — the scheme's precondition, which the
-    ///   paper's algorithms must (and do) maintain.
+    /// * [`SubstrateError::InvalidAddress`] for invalid ids.
+    /// * [`SubstrateError::LoadExceeded`] (location
+    ///   `player {p} as sender` or `player {p} as receiver`, no round) if a
+    ///   player's send or receive total exceeds `n` words — the scheme's
+    ///   precondition, which the paper's algorithms must (and do)
+    ///   maintain.
+    /// * [`SubstrateError::RoundProtocol`] if a round is open.
     pub fn lenzen_route(
         &mut self,
         messages: &[(usize, usize, usize)],
-    ) -> Result<usize, CliqueError> {
+    ) -> Result<usize, SubstrateError> {
         let mut out = vec![0usize; self.n];
         let mut inc = vec![0usize; self.n];
         for &(from, to, words) in messages {
@@ -279,22 +273,20 @@ impl CliqueNetwork {
             inc[to] += words;
         }
         let capacity = self.n * self.words_per_pair;
+        let overload =
+            |player: usize, role: &str, attempted_words: usize| SubstrateError::LoadExceeded {
+                substrate: CLIQUE,
+                location: format!("player {player} as {role}"),
+                round: None,
+                attempted_words,
+                budget_words: capacity,
+            };
         for p in 0..self.n {
             if out[p] > capacity {
-                return Err(CliqueError::RoutingOverload {
-                    player: p,
-                    role: RoutingRole::Sender,
-                    attempted_words: out[p],
-                    capacity_words: capacity,
-                });
+                return Err(overload(p, "sender", out[p]));
             }
             if inc[p] > capacity {
-                return Err(CliqueError::RoutingOverload {
-                    player: p,
-                    role: RoutingRole::Receiver,
-                    attempted_words: inc[p],
-                    capacity_words: capacity,
-                });
+                return Err(overload(p, "receiver", inc[p]));
             }
         }
         // The scheme itself is abstracted: charge its constant round cost
@@ -311,49 +303,19 @@ impl CliqueNetwork {
     ///
     /// # Errors
     ///
-    /// [`CliqueError::Substrate`] (round protocol) if a round is already
-    /// open.
-    pub fn charge_rounds(&mut self, k: usize) -> Result<(), CliqueError> {
+    /// [`SubstrateError::RoundProtocol`] if a round is already open.
+    pub fn charge_rounds(&mut self, k: usize) -> Result<(), SubstrateError> {
         for _ in 0..k {
             self.begin_round()?;
             self.end_round()?;
         }
         Ok(())
     }
-
-    /// Sorts up to `n` words distributed one-per-player in `O(1)` rounds
-    /// using Lenzen's sorting scheme \[Len13\] (the companion of his
-    /// routing result), returning the sorted values.
-    ///
-    /// `values[p]` is the word initially held by player `p` (players
-    /// beyond `values.len()` hold nothing); afterwards player `p` holds
-    /// the `p`-th smallest. The simulator charges
-    /// [`LENZEN_ROUTING_ROUNDS`] rounds and `values.len()` words.
-    ///
-    /// # Errors
-    ///
-    /// [`CliqueError::RoutingOverload`] if `values.len() > n` — each
-    /// player can inject only one word into the sorting network.
-    pub fn lenzen_sort(&mut self, values: &[u64]) -> Result<Vec<u64>, CliqueError> {
-        if values.len() > self.n {
-            return Err(CliqueError::RoutingOverload {
-                player: self.n.saturating_sub(1),
-                role: crate::error::RoutingRole::Sender,
-                attempted_words: values.len(),
-                capacity_words: self.n,
-            });
-        }
-        self.ledger
-            .record_completed(LENZEN_ROUTING_ROUNDS, values.len(), 1.min(values.len()))?;
-        let mut sorted = values.to_vec();
-        sorted.sort_unstable();
-        Ok(sorted)
-    }
 }
 
 impl Substrate for CliqueNetwork {
     fn substrate_name(&self) -> &'static str {
-        "congested-clique"
+        CLIQUE
     }
 
     fn execution_trace(&self) -> &ExecutionTrace {
@@ -367,26 +329,35 @@ impl CliqueRoundCtx<'_> {
     /// # Errors
     ///
     /// Same as [`CliqueNetwork::send`].
-    pub fn send(&mut self, from: usize, to: usize, words: usize) -> Result<(), CliqueError> {
+    pub fn send(&mut self, from: usize, to: usize, words: usize) -> Result<(), SubstrateError> {
         self.net.send(from, to, words)
-    }
-
-    /// Number of players.
-    pub fn num_players(&self) -> usize {
-        self.net.n
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmvc_substrate::SubstrateError;
 
-    fn is_round_protocol(e: &CliqueError) -> bool {
+    fn is_round_protocol(e: &SubstrateError) -> bool {
         matches!(
             e,
-            CliqueError::Substrate(SubstrateError::RoundProtocol { .. })
+            SubstrateError::RoundProtocol {
+                substrate: CLIQUE,
+                ..
+            }
         )
+    }
+
+    /// The `location` of a [`SubstrateError::LoadExceeded`], or a panic.
+    fn overflow_location(e: &SubstrateError) -> &str {
+        match e {
+            SubstrateError::LoadExceeded {
+                substrate: CLIQUE,
+                location,
+                ..
+            } => location,
+            other => panic!("expected a clique LoadExceeded, got {other:?}"),
+        }
     }
 
     #[test]
@@ -412,10 +383,16 @@ mod tests {
                 r.send(0, 1, 1) // second word over same link, same round
             })
             .unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            CliqueError::BandwidthExceeded { from: 0, to: 1, .. }
-        ));
+            SubstrateError::LoadExceeded {
+                substrate: CLIQUE,
+                location: "link 0->1".into(),
+                round: Some(1),
+                attempted_words: 2,
+                budget_words: 1,
+            }
+        );
         assert_eq!(net.rounds(), 0, "failed round not counted");
     }
 
@@ -453,11 +430,15 @@ mod tests {
         let mut net = CliqueNetwork::new(3).unwrap();
         assert!(matches!(
             net.round(|r| r.send(0, 3, 1)),
-            Err(CliqueError::NoSuchPlayer { player: 3, .. })
+            Err(SubstrateError::InvalidAddress {
+                substrate: CLIQUE,
+                address: 3,
+                limit: 3
+            })
         ));
         assert!(matches!(
-            net.broadcast(5, 1),
-            Err(CliqueError::NoSuchPlayer { .. })
+            net.lenzen_route(&[(5, 0, 1)]),
+            Err(SubstrateError::InvalidAddress { address: 5, .. })
         ));
     }
 
@@ -471,22 +452,10 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_round_cost() {
-        let mut net = CliqueNetwork::new(5).unwrap();
-        assert_eq!(net.broadcast(0, 3).unwrap(), 3);
-        assert_eq!(net.rounds(), 3);
-        assert_eq!(net.total_words(), 3 * 4);
-        assert_eq!(net.broadcast(0, 0).unwrap(), 0);
-        assert_eq!(net.rounds(), 3);
-    }
-
-    #[test]
     fn lenzen_route_within_capacity() {
         let mut net = CliqueNetwork::new(10).unwrap();
-        // Everyone sends 5 words to player 0: total 45 <= n = 10? No — 45
-        // words to one receiver exceeds... capacity is n*1 = 10 per player.
-        // Use a feasible instance: each player sends 1 word to its
-        // successor.
+        // Capacity is n * 1 = 10 words per player: each player sends one
+        // word to its successor.
         let msgs: Vec<(usize, usize, usize)> = (0..10).map(|p| (p, (p + 1) % 10, 1)).collect();
         let rounds = net.lenzen_route(&msgs).unwrap();
         assert_eq!(rounds, LENZEN_ROUTING_ROUNDS);
@@ -500,14 +469,17 @@ mod tests {
         // 3 senders each push 2 words to player 0: 6 > capacity 4.
         let msgs = vec![(1, 0, 2), (2, 0, 2), (3, 0, 2)];
         let err = net.lenzen_route(&msgs).unwrap_err();
+        assert_eq!(overflow_location(&err), "player 0 as receiver");
         assert!(matches!(
             err,
-            CliqueError::RoutingOverload {
-                player: 0,
-                role: RoutingRole::Receiver,
+            SubstrateError::LoadExceeded {
+                round: None,
+                attempted_words: 6,
+                budget_words: 4,
                 ..
             }
         ));
+        assert_eq!(net.rounds(), 0, "rejected routing charges nothing");
     }
 
     #[test]
@@ -515,11 +487,12 @@ mod tests {
         let mut net = CliqueNetwork::new(4).unwrap();
         let msgs = vec![(0, 1, 3), (0, 2, 2)];
         let err = net.lenzen_route(&msgs).unwrap_err();
+        assert_eq!(overflow_location(&err), "player 0 as sender");
         assert!(matches!(
             err,
-            CliqueError::RoutingOverload {
-                player: 0,
-                role: RoutingRole::Sender,
+            SubstrateError::LoadExceeded {
+                round: None,
+                attempted_words: 5,
                 ..
             }
         ));
@@ -553,7 +526,11 @@ mod tests {
     #[test]
     fn network_is_a_substrate() {
         let mut net = CliqueNetwork::new(5).unwrap();
-        net.broadcast(0, 2).unwrap();
+        // Player 0 sends one word to every other player, twice.
+        for _ in 0..2 {
+            net.round(|r| (1..5).try_for_each(|to| r.send(0, to, 1)))
+                .unwrap();
+        }
         let s: &dyn Substrate = &net;
         assert_eq!(s.substrate_name(), "congested-clique");
         assert_eq!(s.rounds(), 2);
@@ -569,31 +546,18 @@ mod tests {
         assert!(is_round_protocol(
             &net.lenzen_route(&[(0, 1, 1)]).unwrap_err()
         ));
-        assert!(is_round_protocol(&net.lenzen_sort(&[1, 2]).unwrap_err()));
     }
 
     #[test]
     fn zero_players_rejected() {
-        assert!(CliqueNetwork::new(0).is_err());
-        assert!(CliqueNetwork::with_bandwidth(3, 0).is_err());
-    }
-
-    #[test]
-    fn lenzen_sort_sorts_in_constant_rounds() {
-        let mut net = CliqueNetwork::new(8).unwrap();
-        let sorted = net.lenzen_sort(&[5, 1, 9, 3]).unwrap();
-        assert_eq!(sorted, vec![1, 3, 5, 9]);
-        assert_eq!(net.rounds(), LENZEN_ROUTING_ROUNDS);
-        // Empty input is fine.
-        assert!(net.lenzen_sort(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn lenzen_sort_rejects_overfull_input() {
-        let mut net = CliqueNetwork::new(3).unwrap();
-        assert!(matches!(
-            net.lenzen_sort(&[1, 2, 3, 4]),
-            Err(CliqueError::RoutingOverload { .. })
-        ));
+        for net in [CliqueNetwork::new(0), CliqueNetwork::with_bandwidth(3, 0)] {
+            assert!(matches!(
+                net,
+                Err(SubstrateError::InvalidConfig {
+                    substrate: CLIQUE,
+                    ..
+                })
+            ));
+        }
     }
 }

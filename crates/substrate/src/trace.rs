@@ -1,8 +1,8 @@
 //! Execution traces: the measured quantities every experiment reports.
 //!
-//! Moved here from `mmvc-mpc` so that both simulated substrates (MPC and
-//! CONGESTED-CLIQUE) record their executions in one format and the
-//! harness can report claimed-vs-measured numbers through one code path.
+//! Both metered models (MPC and CONGESTED-CLIQUE) record their executions
+//! in this one format, so the harness can report claimed-vs-measured
+//! numbers through one code path.
 
 /// Summary of one completed substrate round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,14 +7,13 @@
 //!
 //! * [`graph`] ([`mmvc_graph`]) — CSR graphs, generators, exact matching
 //!   solvers (blossom, Hopcroft–Karp), validators;
-//! * [`mpc`] ([`mmvc_mpc`]) — a metered simulator of the MPC model
-//!   (machines × words, rounds, budget enforcement);
-//! * [`clique`] ([`mmvc_clique`]) — a metered CONGESTED-CLIQUE simulator
-//!   (per-pair bandwidth, Lenzen routing);
-//! * [`substrate`] ([`mmvc_substrate`]) — the shared metering layer: the
-//!   [`Substrate`](mmvc_substrate::Substrate) trait both simulators
-//!   implement, the unified `ExecutionTrace`, and the substrate-agnostic
-//!   `SubstrateError`;
+//! * [`substrate`] ([`mmvc_substrate`]) — the metered models: the MPC
+//!   simulator [`Cluster`](mmvc_substrate::Cluster) (machines × words,
+//!   rounds, budget enforcement) and the CONGESTED-CLIQUE simulator
+//!   [`CliqueNetwork`](mmvc_substrate::CliqueNetwork) (per-pair
+//!   bandwidth, Lenzen routing), over one round ledger, the
+//!   [`Substrate`](mmvc_substrate::Substrate) trait, the unified
+//!   `ExecutionTrace`, and the one error type `SubstrateError`;
 //! * [`core`] ([`mmvc_core`]) — the paper's algorithms: `O(log log Δ)`-round
 //!   MIS (Theorem 1.1), `Central`/`Central-Rand`/`MPC-Simulation`
 //!   (Section 4), Lemma 5.1 rounding, Theorem 1.2's `(2+ε)` integral
@@ -48,16 +47,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use mmvc_clique as clique;
 pub use mmvc_core as core;
 pub use mmvc_graph as graph;
-pub use mmvc_mpc as mpc;
 pub use mmvc_serve as serve;
 pub use mmvc_substrate as substrate;
 
 /// Convenient single-import surface for the common workflow.
 pub mod prelude {
-    pub use mmvc_clique::CliqueNetwork;
     pub use mmvc_core::baselines::luby_mis;
     pub use mmvc_core::filtering::{filtering_maximal_matching, FilteringConfig};
     pub use mmvc_core::matching::{
@@ -74,8 +70,8 @@ pub mod prelude {
     pub use mmvc_graph::{
         generators, matching, mis, scenarios, vertex_cover, weighted, Graph, GraphBuilder,
     };
-    pub use mmvc_mpc::{Cluster, MpcConfig};
     pub use mmvc_substrate::{
-        ExecutionTrace, ExecutorConfig, RoundLedger, RoundSummary, Substrate, SubstrateError,
+        CliqueNetwork, Cluster, ExecutionTrace, ExecutorConfig, MpcConfig, RoundLedger,
+        RoundSummary, Substrate, SubstrateError,
     };
 }

@@ -8,8 +8,7 @@ use mmvc::core::matching::{mpc_simulation, MpcMatchingConfig, PhaseSchedule};
 use mmvc::core::mis::{clique_mis, greedy_mpc_mis, CliqueMisConfig, GreedyMisConfig};
 use mmvc::core::{CoreError, Epsilon};
 use mmvc::graph::generators;
-use mmvc::mpc::MpcError;
-use mmvc::substrate::ExecutorConfig;
+use mmvc::substrate::{ExecutorConfig, SubstrateError};
 
 fn eps() -> Epsilon {
     Epsilon::new(0.1).expect("valid eps")
@@ -73,14 +72,18 @@ fn starved_budget_fails_with_memory_error_not_wrong_answer() {
     let mut cfg = MpcMatchingConfig::new(eps(), 3);
     cfg.space_factor = 0.02;
     match mpc_simulation(&g, &cfg) {
-        Err(CoreError::Mpc(MpcError::MemoryExceeded {
+        Err(CoreError::Substrate(SubstrateError::LoadExceeded {
+            substrate,
+            round,
             attempted_words,
             budget_words,
             ..
         })) => {
+            assert_eq!(substrate, "mpc");
+            assert!(round.is_some(), "a memory overflow names its round");
             assert!(attempted_words > budget_words);
         }
-        other => panic!("expected MemoryExceeded, got {other:?}"),
+        other => panic!("expected an MPC LoadExceeded, got {other:?}"),
     }
 }
 
@@ -201,7 +204,7 @@ fn engine_determinism_matching_and_filtering() {
 
 #[test]
 fn clique_bandwidth_budget_binds() {
-    use mmvc::clique::{CliqueError, CliqueNetwork};
+    use mmvc::substrate::CliqueNetwork;
     let mut net = CliqueNetwork::new(64).unwrap();
     // A full all-to-all of 3 words costs exactly 3 rounds at 1 word/pair.
     assert_eq!(net.all_to_all(3).unwrap(), 3);
@@ -212,5 +215,8 @@ fn clique_bandwidth_budget_binds() {
             r.send(0, 1, 1)
         })
         .unwrap_err();
-    assert!(matches!(err, CliqueError::BandwidthExceeded { .. }));
+    match err {
+        SubstrateError::LoadExceeded { location, .. } => assert_eq!(location, "link 0->1"),
+        other => panic!("expected a bandwidth LoadExceeded, got {other:?}"),
+    }
 }

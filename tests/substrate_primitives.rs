@@ -1,57 +1,7 @@
-//! Integration tests composing the substrate primitives with the graph
-//! layer: the GSZ11 bookkeeping steps the paper's algorithms delegate to
-//! "standard techniques" must interoperate with real graph data.
+//! Integration test for the graph layer's edge-list I/O through a real
+//! file on disk (the `--graph-file` workload path of `mmvc run`).
 
-use mmvc::graph::{generators, io, stats};
-use mmvc::mpc::{mpc_aggregate_by_key, mpc_prefix_sum, mpc_sort, Cluster, MpcConfig, Substrate};
-
-#[test]
-fn sort_edge_list_by_degree_key() {
-    // A typical MPC bookkeeping step: sort edges by (min endpoint degree).
-    let g = generators::gnp(500, 0.05, 1).unwrap();
-    let keys: Vec<u64> = g
-        .edges()
-        .iter()
-        .map(|e| g.degree(e.u()).min(g.degree(e.v())) as u64)
-        .collect();
-    let mut cluster = Cluster::new(MpcConfig::near_linear(500, g.num_edges(), 8.0).unwrap());
-    let sorted = mpc_sort(&mut cluster, &keys).unwrap();
-    assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-    assert_eq!(cluster.rounds(), 3, "sample sort is 3 metered rounds");
-    assert!(cluster.max_load_words() <= cluster.config().words_per_machine());
-}
-
-#[test]
-fn degree_histogram_via_aggregation() {
-    // deg(v) computed as an MPC aggregation over edge endpoints must match
-    // the graph layer's histogram.
-    let g = generators::power_law(300, 2.5, 8.0, 2).unwrap();
-    let pairs: Vec<(u64, u64)> = g
-        .edges()
-        .iter()
-        .flat_map(|e| [(e.u() as u64, 1u64), (e.v() as u64, 1u64)])
-        .collect();
-    let mut cluster = Cluster::new(MpcConfig::new(16, 8 * 300).unwrap());
-    let agg = mpc_aggregate_by_key(&mut cluster, &pairs).unwrap();
-    for &(v, deg) in &agg {
-        assert_eq!(deg as usize, g.degree(v as u32));
-    }
-    // Vertices with degree 0 are absent from the aggregation.
-    let isolated = (0..300u32).filter(|&v| g.degree(v) == 0).count();
-    assert_eq!(agg.len() + isolated, 300);
-    let hist = stats::degree_histogram(&g);
-    assert_eq!(hist.first().copied().unwrap_or(0), isolated);
-}
-
-#[test]
-fn prefix_sums_assign_edge_offsets() {
-    // CSR-style offset computation as a distributed prefix sum.
-    let g = generators::gnp(200, 0.1, 3).unwrap();
-    let degrees: Vec<u64> = (0..200u32).map(|v| g.degree(v) as u64).collect();
-    let mut cluster = Cluster::new(MpcConfig::new(8, 4096).unwrap());
-    let offsets = mpc_prefix_sum(&mut cluster, &degrees).unwrap();
-    assert_eq!(*offsets.last().unwrap() as usize, 2 * g.num_edges());
-}
+use mmvc::graph::{generators, io};
 
 #[test]
 fn io_roundtrip_through_temp_file() {
@@ -64,21 +14,4 @@ fn io_roundtrip_through_temp_file() {
     let back = io::read_edge_list(std::fs::File::open(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(g, back);
-}
-
-#[test]
-fn parallel_round_computes_per_machine_degrees() {
-    // Real-thread machine execution: each machine computes max degree over
-    // its vertex share.
-    let g = generators::gnp(400, 0.1, 5).unwrap();
-    let machines = 8;
-    let parts = mmvc::mpc::random_vertex_partition(&(0..400u32).collect::<Vec<_>>(), machines, 7);
-    let mut cluster = Cluster::new(MpcConfig::new(machines, 8 * 400).unwrap());
-    let maxima = cluster
-        .parallel_round(machines, |m| {
-            let local_max = parts[m].iter().map(|&v| g.degree(v)).max().unwrap_or(0);
-            (local_max, parts[m].len())
-        })
-        .unwrap();
-    assert_eq!(maxima.iter().copied().max().unwrap(), g.max_degree());
 }
