@@ -898,19 +898,31 @@ mod tests {
     #[test]
     fn partition_is_exhaustive_and_disjoint() {
         let verts: Vec<u32> = (0..1000).collect();
-        for m in [1, 7] {
-            let parts = random_vertex_partition(&verts, m, 3);
-            assert_eq!(parts.len(), m);
-            let mut seen = vec![false; 1000];
-            for part in &parts {
-                for &v in part {
-                    assert!(!seen[v as usize], "vertex {v} appears twice");
-                    seen[v as usize] = true;
-                }
+        let parts = random_vertex_partition(&verts, 7, 3);
+        assert_eq!(parts.len(), 7);
+        let mut seen = vec![false; 1000];
+        for part in &parts {
+            for &v in part {
+                assert!(!seen[v as usize], "vertex {v} appears twice");
+                seen[v as usize] = true;
             }
-            assert!(seen.iter().all(|&s| s));
         }
-        assert!(random_vertex_partition(&[], 3, 0).iter().all(Vec::is_empty));
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn partition_single_machine_gets_everything() {
+        let verts: Vec<u32> = (0..50).collect();
+        let parts = random_vertex_partition(&verts, 1, 0);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0], verts);
+    }
+
+    #[test]
+    fn partition_empty_vertex_list() {
+        let parts = random_vertex_partition(&[], 3, 0);
+        assert_eq!(parts.len(), 3);
+        assert!(parts.iter().all(Vec::is_empty));
     }
 
     #[test]
